@@ -4,13 +4,14 @@ Measures the reduced golden config — dp, 1 thread, ``max_block_elems=4``,
 suite indices 1 (dense), 27 (pwtk) and 30 (rand-sparse) — three ways:
 
 * **baseline** — what a cold pre-PR-3 worker paid: lazy in-process profile
-  calibration plus the sweep through the preserved reference simulator
+  calibration plus the per-cell reference loop
+  (:mod:`repro.bench.reference`) through the preserved reference simulator
   (``simulate_reference``, the verbatim per-call path with the windowed
   miss-estimator loop).  The calibration itself is also routed through the
   reference simulator, as it was before the plan layer existed.
 * **simplan** — the PR 3 state of the art: the calibrated profile served
   float-exactly from the on-disk :class:`ProfileStore` plus the per-cell
-  plan-based ``simulate`` (``batch=False``).
+  reference loop over the plan-based ``simulate``.
 * **batched** — the production path: the same warm profile plus the
   whole-matrix array program (:mod:`repro.machine.batch`), one fused
   structural planning pass and vectorized cell evaluation.
@@ -67,7 +68,7 @@ def _config(indices):
 def _run_baseline(config):
     """Cold pre-PR-3 worker: lazy calibration + reference simulator."""
     import repro.core.profiling as profiling
-    from repro.bench.harness import run_sweep
+    from repro.bench import reference
     from repro.core.profiling import ProfileCache
     from repro.machine.executor import simulate_reference
 
@@ -75,10 +76,10 @@ def _run_baseline(config):
     profiling.simulate = simulate_reference
     try:
         t0 = time.perf_counter()
-        result = run_sweep(
-            config=config,
+        result = reference.run_sweep(
+            config,
             profile_cache=ProfileCache(),
-            simulate_fn=simulate_reference,
+            simulate=simulate_reference,
         )
         elapsed = time.perf_counter() - t0
     finally:
@@ -88,12 +89,12 @@ def _run_baseline(config):
 
 def _run_simplan(config, store_dir):
     """Warm PR 3 worker: disk-served profile + per-cell plan simulator."""
-    from repro.bench.harness import run_sweep
+    from repro.bench import reference
     from repro.core.profiling import ProfileStore
 
     t0 = time.perf_counter()
-    result = run_sweep(
-        config=config, profile_cache=ProfileStore(store_dir), batch=False
+    result = reference.run_sweep(
+        config, profile_cache=ProfileStore(store_dir)
     )
     return result, time.perf_counter() - t0
 
@@ -104,9 +105,7 @@ def _run_batched(config, store_dir):
     from repro.core.profiling import ProfileStore
 
     t0 = time.perf_counter()
-    result = run_sweep(
-        config=config, profile_cache=ProfileStore(store_dir), batch=True
-    )
+    result = run_sweep(config=config, profile_cache=ProfileStore(store_dir))
     return result, time.perf_counter() - t0
 
 

@@ -120,22 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     engine.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        default=True,
-        help=(
-            "evaluate candidates one cell at a time instead of through the "
-            "whole-matrix array program (bit-identical escape hatch)"
-        ),
-    )
-    engine.add_argument(
         "--compare-batched",
         action="store_true",
         help=(
-            "run the configured sweep through both the batched and the "
-            "per-cell paths, diff the records field-by-field and print the "
-            "first divergence (exit 1 if any)"
+            "run the configured sweep through both the batched array "
+            "program and the per-cell reference, diff the records "
+            "field-by-field and print the first divergence (exit 1 if any)"
         ),
     )
     subset = parser.add_argument_group(
@@ -1124,24 +1114,23 @@ def _fsck_main(argv: Sequence[str]) -> int:
 
 
 def _compare_batched(config: SweepConfig, progress: bool) -> int:
-    """``--compare-batched``: run both sweep paths and diff every record.
+    """``--compare-batched``: run the sweep both ways and diff every record.
 
-    Runs serially and uncached (the point is to execute both paths, not to
-    read a cache), sharing one profile calibration.  Prints the first
-    field-level divergence; exit 1 on any difference.
+    Runs the production array program and the per-cell reference
+    (:mod:`repro.bench.reference`) serially and uncached (the point is to
+    execute both paths, not to read a cache), sharing one profile
+    calibration.  Prints the first field-level divergence; exit 1 on any
+    difference.
     """
+    from .bench import reference
     from .bench.harness import diff_sweep_results, run_sweep
     from .core.profiling import ProfileCache
 
     profile_cache = ProfileCache()
     batched = run_sweep(
-        config=config, progress=progress, profile_cache=profile_cache,
-        batch=True,
+        config=config, progress=progress, profile_cache=profile_cache
     )
-    percell = run_sweep(
-        config=config, progress=progress, profile_cache=profile_cache,
-        batch=False,
-    )
+    percell = reference.run_sweep(config, profile_cache=profile_cache)
     diff = diff_sweep_results(batched, percell)
     n_records = sum(len(m.records) for m in batched.matrices)
     if diff is None:
@@ -1205,7 +1194,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             resume=args.resume,
             run_log=args.run_log,
             profile=args.profile,
-            batch=args.batch,
         )
         if sweep.missing:
             print(

@@ -1,10 +1,11 @@
 """Candidate evaluation and format selection (the paper's tuning loop).
 
-:func:`evaluate_candidates` converts a matrix into every candidate format
-(structure-only — no value arrays are materialised), asks each performance
-model for a prediction, and optionally runs the execution simulator for the
-"measured" time.  Conversions share the block-structure analysis between a
-padded format and its decomposed sibling, halving the dominant cost.
+:func:`evaluate_candidates` scores every candidate format of a matrix: a
+thin function over the whole-matrix array program
+(:class:`repro.machine.batch.MatrixProgram`), which plans every candidate
+structure in one fused pass (structure-only — no value arrays are
+materialised), asks each performance model for a prediction and optionally
+runs the execution simulator for the "measured" time.
 
 :class:`AutoTuner` is the high-level public API: profile once, then select
 the best (format, block, implementation) for any matrix and build it.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
@@ -25,18 +26,19 @@ from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.decomposed import decompose_bcsd, decompose_bcsr
 from ..formats.vbl import VBLMatrix
-from ..machine.executor import SimResult, simulate
+from ..machine.executor import SimResult
 from ..machine.machine import MachineModel
 from ..types import Impl, Precision
 from .candidates import Candidate, candidate_space
 from .models import MODELS, PerformanceModel
-from .profiling import DEFAULT_PROFILE_CACHE, BlockProfile, ProfileCache
+from .profiling import BlockProfile, ProfileCache
 
 __all__ = [
     "CandidateResult",
     "StatsCache",
     "build_candidate",
     "evaluate_candidates",
+    "rank_with_model",
     "select_with_model",
     "oracle_best",
     "AutoTuner",
@@ -142,92 +144,52 @@ def evaluate_candidates(
     profile_cache: ProfileCache | None = None,
     run_simulation: bool = True,
     nthreads: int = 1,
-    fmt_cache: dict | None = None,
     timings: dict | None = None,
-    simulate_fn: Callable | None = None,
 ) -> list[CandidateResult]:
     """Evaluate every candidate on ``coo``: predictions and simulated time.
 
-    Models that do not cover a candidate (MEMCOMP/OVERLAP on 1D-VBL) simply
-    omit a prediction for it, as in the paper.
+    Runs :meth:`MatrixProgram.predict
+    <repro.machine.batch.MatrixProgram.predict>` (or, with
+    ``run_simulation``, :meth:`~repro.machine.batch.MatrixProgram.evaluate`)
+    over one fused planning pass.  Models that do not cover a candidate
+    (MEMCOMP/OVERLAP on 1D-VBL) simply omit a prediction for it, as in the
+    paper.
 
-    Pass a (caller-owned) ``fmt_cache`` dict to reuse the converted
-    structures — and their memoised simulation plans and cache-miss
-    analyses — across repeated calls for the same matrix (different
-    precisions / thread counts).
-
-    Pass a ``timings`` dict to accumulate per-phase seconds into its
-    ``"convert"`` / ``"stats"`` / ``"simulate"`` / ``"models"`` keys.
-    ``simulate_fn`` overrides the execution simulator (the bit-identity
-    tests pass :func:`repro.machine.executor.simulate_reference`).
+    ``profile`` is used as given (the advisor passes the one its cache
+    token derives from); without it MEMCOMP/OVERLAP calibrate through
+    ``profile_cache``.  Pass a ``timings`` dict to accumulate per-phase
+    seconds into its ``"stats"`` / ``"convert"`` / ``"models"`` (and, when
+    simulating, ``"simulate"``) keys.
     """
-    precision = Precision.coerce(precision)
+    # Imported here: machine.batch builds on this module.
+    from ..machine.batch import MatrixProgram
+
     if candidates is None:
         candidates = candidate_space()
-    model_objs = [m if isinstance(m, PerformanceModel) else MODELS[m] for m in models]
-    needs_profile = any(m.requires_profile for m in model_objs)
-    if profile is None and needs_profile:
-        cache = profile_cache if profile_cache is not None else DEFAULT_PROFILE_CACHE
-        profile = cache.get(machine, precision)
-    sim_fn = simulate if simulate_fn is None else simulate_fn
-
-    stats_cache = StatsCache(coo, timings=timings)
-    # Build each structure once and share it across scalar/SIMD candidates:
-    # the format object memoises its simulation plan and x-miss analysis.
-    if fmt_cache is None:
-        fmt_cache = {}
-    results: list[CandidateResult] = []
-    for cand in candidates:
-        fmt_key = (cand.kind, cand.block)
-        fmt = fmt_cache.get(fmt_key)
-        if fmt is None:
-            t0 = time.perf_counter()
-            stats_s = timings.get("stats", 0.0) if timings is not None else 0.0
-            fmt = build_candidate(coo, cand, stats_cache=stats_cache)
-            fmt_cache[fmt_key] = fmt
-            if timings is not None:
-                # Conversion time net of the shared structural analysis,
-                # which StatsCache already charged to "stats".
-                timings["convert"] = (
-                    timings.get("convert", 0.0)
-                    + (time.perf_counter() - t0)
-                    - (timings.get("stats", 0.0) - stats_s)
-                )
-        res = CandidateResult(
-            candidate=cand,
-            ws_bytes=fmt.working_set(precision),
-            padding_ratio=fmt.padding_ratio,
-            n_blocks=fmt.n_blocks,
+    names = tuple(
+        m.name if isinstance(m, PerformanceModel) else m for m in models
+    )
+    program = MatrixProgram(
+        coo,
+        machine,
+        candidates,
+        profile_cache=profile_cache,
+        timings=timings,
+        clock=time.perf_counter,
+    )
+    if run_simulation:
+        return program.evaluate(
+            precision, nthreads, candidates, models=names, profile=profile
         )
-        t0 = time.perf_counter()
-        for model in model_objs:
-            try:
-                res.predictions[model.name] = model.predict(
-                    fmt, machine, precision, cand.impl, profile, nthreads
-                )
-            except ModelError:
-                continue  # model does not cover this candidate
-        if timings is not None:
-            timings["models"] = (
-                timings.get("models", 0.0) + time.perf_counter() - t0
-            )
-        if run_simulation:
-            t0 = time.perf_counter()
-            res.sim = sim_fn(
-                fmt, machine, precision, cand.impl, nthreads
-            )
-            if timings is not None:
-                timings["simulate"] = (
-                    timings.get("simulate", 0.0) + time.perf_counter() - t0
-                )
-        results.append(res)
-    return results
+    return program.predict(
+        precision, nthreads, candidates, names, profile=profile
+    )
 
 
-def select_with_model(
+def rank_with_model(
     results: Sequence[CandidateResult], model_name: str
-) -> CandidateResult:
-    """The candidate a model selects: its own minimum prediction.
+) -> list[CandidateResult]:
+    """The candidates a model ranks, by its own prediction, best first.
 
     As in the paper, the models tune over the *fixed-size* blocking space
     only (Section IV: "we do not consider variable size blocking methods"),
@@ -246,7 +208,14 @@ def select_with_model(
         pool = [r for r in pool if r.candidate.impl is Impl.SCALAR]
     if not pool:
         raise ModelError(f"model {model_name!r} covered no candidate")
-    return min(pool, key=lambda r: r.predictions[model_name])
+    return sorted(pool, key=lambda r: r.predictions[model_name])
+
+
+def select_with_model(
+    results: Sequence[CandidateResult], model_name: str
+) -> CandidateResult:
+    """The candidate a model selects: its own minimum prediction."""
+    return rank_with_model(results, model_name)[0]
 
 
 def oracle_best(results: Sequence[CandidateResult]) -> CandidateResult:
@@ -288,41 +257,18 @@ class AutoTuner:
         model: str = "overlap",
         candidates: Sequence[Candidate] | None = None,
         nthreads: int = 1,
-        batch: bool = False,
     ) -> CandidateResult:
-        """Pick the best candidate for ``coo`` according to ``model``.
-
-        ``batch=True`` evaluates through the whole-matrix array program
-        (:class:`repro.machine.batch.MatrixProgram`) — same selection,
-        bit-identical predictions, one fused planning pass instead of a
-        per-candidate conversion loop.
-        """
-        if batch:
-            # Imported lazily: machine.batch sits above this module.
-            from ..machine.batch import MatrixProgram
-
-            if candidates is None:
-                candidates = candidate_space()
-            program = MatrixProgram(
-                coo,
-                self.machine,
-                candidates,
-                profile_cache=self.profile_cache,
-            )
-            results = program.evaluate(
-                precision, nthreads, candidates, models=(model,)
-            )
-        else:
-            results = evaluate_candidates(
-                coo,
-                self.machine,
-                precision,
-                candidates=candidates,
-                models=(model,),
-                profile_cache=self.profile_cache,
-                run_simulation=False,
-                nthreads=nthreads,
-            )
+        """Pick the best candidate for ``coo`` according to ``model``."""
+        results = evaluate_candidates(
+            coo,
+            self.machine,
+            precision,
+            candidates=candidates,
+            models=(model,),
+            profile_cache=self.profile_cache,
+            run_simulation=False,
+            nthreads=nthreads,
+        )
         return select_with_model(results, model)
 
     def build(

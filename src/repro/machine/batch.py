@@ -48,10 +48,14 @@ accumulations — the per-structure ``cumsum`` segment sums — are *not*
 re-associated: they stay per-(structure, impl, threads) inside the shared
 :class:`SimPlan` memos.
 
-``executor.simulate`` / ``SimPlan.run`` remain the per-call executable
-spec; ``repro sweep --compare-batched`` diffs the two paths record by
-record.  See ``docs/batching.md`` for the layout and the bit-identity
-argument.
+:meth:`MatrixProgram.predict` is the simulation-free half: model
+predictions only, for the advisor, ``AutoTuner`` and ``LearnedSelector``
+(through :func:`repro.core.selection.evaluate_candidates`).  This module is
+the only production evaluation path.  The per-cell loop over
+``build_candidate`` + ``executor.simulate`` survives only as a reference
+(:mod:`repro.bench.reference`), reached through ``repro sweep
+--compare-batched``, the equivalence tests and ``benchmarks/``.  See
+``docs/batching.md`` for the layout and the bit-identity argument.
 
 This module is deterministic model code: it must not read the wall clock
 (lint rule ``determinism``).  Phase timings are charged through an injected
@@ -335,7 +339,7 @@ def plan_structures(
 ) -> dict[tuple, SparseFormat]:
     """Build every requested ``(kind, block)`` structure in one fused pass.
 
-    Returns a dict usable as the sweep's ``fmt_cache``.  Array-for-array
+    Returns the structures keyed by ``(kind, block)``.  Array-for-array
     identical to :func:`repro.core.selection.build_candidate` run per
     structure (the equivalence tests pin this).  ``timings``/``clock``
     charge the coarsening to ``"stats"`` and the object assembly to
@@ -536,14 +540,15 @@ def _x_span(cand: Candidate) -> int | None:
 
 
 class MatrixProgram:
-    """All sweep cells of one matrix as a vectorized array program.
+    """All candidate cells of one matrix as a vectorized array program.
 
     Built once per matrix: the fused planning pass constructs every
-    candidate structure, and :meth:`evaluate` batch-evaluates one
-    (precision, threads) plane of cells — the candidate loop is an array
-    axis.  The per-structure :class:`SimPlan` memos (row costs, partitions,
-    ``cumsum`` segment sums, x-miss estimates) are shared with the per-call
-    path, so the two paths agree bit-for-bit by construction everywhere the
+    candidate structure, :meth:`predict` attaches the models' predictions
+    to one (precision, threads) plane of cells and :meth:`evaluate` also
+    simulates it — the candidate loop is an array axis.  The
+    per-structure :class:`SimPlan` memos (row costs, partitions, ``cumsum``
+    segment sums, x-miss estimates) are shared with the per-call path, so
+    the two paths agree bit-for-bit by construction everywhere the
     arithmetic is order-sensitive.
     """
 
@@ -603,6 +608,109 @@ class MatrixProgram:
         return max_line + 1 <= plan.budget
 
     # ------------------------------------------------------------------ #
+    def predict(
+        self,
+        precision: Precision | str,
+        nthreads: int,
+        candidates: Sequence[Candidate],
+        models: Iterable[str],
+        profile=None,
+    ) -> list[CandidateResult]:
+        """Model predictions for one (precision, threads) plane, vectorized.
+
+        Returns one :class:`~repro.core.selection.CandidateResult` per
+        candidate, in candidate order, with ``sim=None``; ``models`` names
+        the predictors to attach (MEMCOMP/OVERLAP skip candidates they do
+        not cover, as in the paper).  Reads block cardinalities only —
+        never segment sums, x-miss estimates or lazily-planned index
+        values — and, like the models, accepts any ``nthreads >= 1``.
+        ``profile`` overrides the profile cache's calibration.
+        Bit-identical to per-cell ``MODELS[...].predict``.
+        """
+        machine = self.machine
+        precision = Precision.coerce(precision)
+        fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]
+        cells = [
+            CandidateResult(
+                candidate=cand,
+                ws_bytes=fmt.working_set(precision),
+                padding_ratio=fmt.padding_ratio,
+                n_blocks=fmt.n_blocks,
+            )
+            for cand, fmt in zip(candidates, fmts)
+        ]
+        models = tuple(models)
+        if not models:
+            return cells
+        unknown = set(models) - set(_MODEL_NAMES)
+        if unknown:
+            raise ModelError(f"no batched predictor for models {sorted(unknown)}")
+        parts = [tuple(fmt.submatrices()) for fmt in fmts]
+        profiled = tuple(m for m in models if m in _PROFILED_MODELS)
+        # Fetched before the phase timer starts: the per-cell path
+        # calibrates outside its phase windows too.
+        if profiled and profile is None:
+            profile = self._profile(precision)
+        t0 = self._clock() if self._clock else 0.0
+        bw = machine.memory_bandwidth(nthreads)
+        if "mem" in models:
+            ws_f = np.array(
+                [cell.ws_bytes for cell in cells], dtype=np.int64
+            ).astype(np.float64)
+            pred_mem = ws_f / bw
+        covered: list[int] = []
+        if profiled:
+            # MEMCOMP/OVERLAP only cover fixed-size blockings (the paper
+            # excludes 1D-VBL); a missing or mismatched profile omits their
+            # predictions, exactly like the per-cell ModelError path.
+            if profile is not None and profile.precision is precision:
+                covered = [
+                    j for j, cell_parts in enumerate(parts)
+                    if all(
+                        part.block_descriptor()[0] not in ("vbl", "vbr")
+                        for part in cell_parts
+                    )
+                ]
+        if covered:
+            acc = {m: np.zeros(len(covered)) for m in profiled}
+            max_parts = max(len(parts[j]) for j in covered)
+            for slot in range(max_parts):
+                sel, ws_i, nb, t_b, nof = [], [], [], [], []
+                for i, j in enumerate(covered):
+                    if slot >= len(parts[j]):
+                        continue
+                    part = parts[j][slot]
+                    part_impl = machine.costs.effective_impl(
+                        part, cells[j].candidate.impl
+                    )
+                    sel.append(i)
+                    ws_i.append(
+                        part.working_set_matrix_only(precision)
+                        + part.vector_bytes(precision)
+                    )
+                    nb.append(part.n_blocks)
+                    t_b.append(profile.block_time(part, part_impl))
+                    if "overlap" in profiled:
+                        nof.append(profile.nof_factor(part, part_impl))
+                sel_a = np.array(sel, dtype=np.int64)
+                ws_a = np.array(ws_i, dtype=np.float64)
+                nb_a = np.array(nb, dtype=np.float64)
+                tb_a = np.array(t_b, dtype=np.float64)
+                if "memcomp" in acc:
+                    acc["memcomp"][sel_a] += ws_a / bw + nb_a * tb_a
+                if "overlap" in acc:
+                    nof_a = np.array(nof, dtype=np.float64)
+                    acc["overlap"][sel_a] += ws_a / bw + nof_a * nb_a * tb_a
+        for m in models:
+            if m == "mem":
+                for j, cell in enumerate(cells):
+                    cell.predictions[m] = float(pred_mem[j])
+            elif covered:
+                for i, j in enumerate(covered):
+                    cells[j].predictions[m] = float(acc[m][i])
+        self._charge("models", t0)
+        return cells
+
     def evaluate(
         self,
         precision: Precision | str,
@@ -610,14 +718,13 @@ class MatrixProgram:
         candidates: Sequence[Candidate],
         *,
         models: Iterable[str] = (),
+        profile=None,
     ) -> list[CandidateResult]:
-        """Evaluate one (precision, threads) plane of cells, vectorized.
+        """:meth:`predict` plus the simulated cells of the plane.
 
-        Returns one :class:`~repro.core.selection.CandidateResult` per
-        candidate, in candidate order; ``models`` names the predictors to
-        attach (MEMCOMP/OVERLAP skip candidates they do not cover, as in
-        the paper).  Bit-identical to per-cell ``SimPlan.run`` plus
-        ``MODELS[...].predict``.
+        Bit-identical to per-cell ``SimPlan.run`` plus
+        ``MODELS[...].predict``.  The simulator partitions rows over real
+        cores, so ``nthreads`` must lie in ``1..machine.max_threads``.
         """
         machine = self.machine
         precision = Precision.coerce(precision)
@@ -693,107 +800,23 @@ class MatrixProgram:
         t_comp = t_overlappable + exposed_s
         self._charge("simulate", t0)
 
-        cells = [
-            CandidateResult(
-                candidate=cand,
+        cells = self.predict(
+            precision, nthreads, candidates, models, profile=profile
+        )
+        for j, (cell, plan) in enumerate(zip(cells, plans)):
+            cell.sim = SimResult(
+                t_total=float(t_total[j]),
+                t_mem=float(t_mem[j]),
+                t_comp=float(t_comp[j]),
+                t_comp_exposed=float(exposed_s[j]),
+                t_latency=float(t_lat[j]),
                 ws_bytes=plan.ws,
-                padding_ratio=plan.fmt.padding_ratio,
-                n_blocks=plan.fmt.n_blocks,
-                sim=SimResult(
-                    t_total=float(t_total[j]),
-                    t_mem=float(t_mem[j]),
-                    t_comp=float(t_comp[j]),
-                    t_comp_exposed=float(exposed_s[j]),
-                    t_latency=float(t_lat[j]),
-                    ws_bytes=plan.ws,
-                    x_misses=int(misses[j]),
-                    nthreads=nthreads,
-                    precision=precision,
-                    impl=cand.impl,
-                ),
+                x_misses=int(misses[j]),
+                nthreads=nthreads,
+                precision=precision,
+                impl=cell.candidate.impl,
             )
-            for j, (cand, plan) in enumerate(zip(candidates, plans))
-        ]
-        models = tuple(models)
-        if models:
-            self._predict(cells, plans, precision, nthreads, models, ws_f)
         return cells
-
-    # ------------------------------------------------------------------ #
-    def _predict(
-        self,
-        cells: list[CandidateResult],
-        plans: list[SimPlan],
-        precision: Precision,
-        nthreads: int,
-        models: tuple[str, ...],
-        ws_f: np.ndarray,
-    ) -> None:
-        """Attach MEM/MEMCOMP/OVERLAP predictions, vectorized over cells."""
-        machine = self.machine
-        unknown = set(models) - set(_MODEL_NAMES)
-        if unknown:
-            raise ModelError(f"no batched predictor for models {sorted(unknown)}")
-        profiled = tuple(m for m in models if m in _PROFILED_MODELS)
-        # Fetched before the phase timer starts: the per-cell path
-        # calibrates outside its phase windows too.
-        profile = self._profile(precision) if profiled else None
-        t0 = self._clock() if self._clock else 0.0
-        bw = machine.memory_bandwidth(nthreads)
-        if "mem" in models:
-            pred_mem = ws_f / bw
-        covered: list[int] = []
-        if profiled:
-            # MEMCOMP/OVERLAP only cover fixed-size blockings (the paper
-            # excludes 1D-VBL); a missing or mismatched profile omits their
-            # predictions, exactly like the per-cell ModelError path.
-            if profile is not None and profile.precision is precision:
-                covered = [
-                    j for j, p in enumerate(plans)
-                    if all(
-                        part.block_descriptor()[0] not in ("vbl", "vbr")
-                        for part in p.parts
-                    )
-                ]
-        if covered:
-            acc = {m: np.zeros(len(covered)) for m in profiled}
-            max_parts = max(len(plans[j].parts) for j in covered)
-            for slot in range(max_parts):
-                sel, ws_i, nb, t_b, nof = [], [], [], [], []
-                for i, j in enumerate(covered):
-                    plan = plans[j]
-                    if slot >= len(plan.parts):
-                        continue
-                    part = plan.parts[slot]
-                    part_impl = machine.costs.effective_impl(
-                        part, cells[j].candidate.impl
-                    )
-                    sel.append(i)
-                    ws_i.append(
-                        part.working_set_matrix_only(precision)
-                        + part.vector_bytes(precision)
-                    )
-                    nb.append(part.n_blocks)
-                    t_b.append(profile.block_time(part, part_impl))
-                    if "overlap" in profiled:
-                        nof.append(profile.nof_factor(part, part_impl))
-                sel_a = np.array(sel, dtype=np.int64)
-                ws_a = np.array(ws_i, dtype=np.float64)
-                nb_a = np.array(nb, dtype=np.float64)
-                tb_a = np.array(t_b, dtype=np.float64)
-                if "memcomp" in acc:
-                    acc["memcomp"][sel_a] += ws_a / bw + nb_a * tb_a
-                if "overlap" in acc:
-                    nof_a = np.array(nof, dtype=np.float64)
-                    acc["overlap"][sel_a] += ws_a / bw + nof_a * nb_a * tb_a
-        for m in models:
-            if m == "mem":
-                for j, cell in enumerate(cells):
-                    cell.predictions[m] = float(pred_mem[j])
-            elif covered:
-                for i, j in enumerate(covered):
-                    cells[j].predictions[m] = float(acc[m][i])
-        self._charge("models", t0)
 
     def _profile(self, precision: Precision):
         from ..core.profiling import DEFAULT_PROFILE_CACHE

@@ -16,9 +16,9 @@ and at most the precision:
 A :class:`SimPlan` is built once per (format, machine, precision) and
 memoizes all of the above, so batch-evaluating every (impl, threads) cell
 only redoes the genuinely per-cell arithmetic.  The plan is cached on the
-format object itself (``fmt._sim_plans``), which is how the sweep's shared
-``fmt_cache`` — one structure reused across scalar/SIMD candidates,
-precisions and thread counts — turns into cross-cell reuse.
+format object itself (``fmt._sim_plans``), which is how
+``MatrixProgram.fmt_cache`` — one structure reused across scalar/SIMD
+candidates, precisions and thread counts — turns into cross-cell reuse.
 
 The plan is **bit-identical** to the historical per-call path: every float
 operation happens with the same operands in the same order, memoization
@@ -316,7 +316,7 @@ def get_plan(
 
     Plans are memoised on the format object keyed by (machine identity,
     precision) — the same lifetime as the format's x-miss memo, so the
-    sweep's shared ``fmt_cache`` automatically shares plans across cells.
+    structures ``MatrixProgram`` shares across cells share their plans.
     The memo is LRU-bounded to :data:`MAX_PLANS_PER_FORMAT` entries (dict
     insertion order is the recency order) so long-lived processes that see
     many machines do not grow format objects without bound.

@@ -1,10 +1,10 @@
 """Cheap structural features of a sparse pattern, computed once per matrix.
 
-Exhaustively evaluating the tuning space converts a matrix into ~53 distinct
-blocked structures, each a full :func:`~repro.formats.blockstats` analysis —
-seconds per matrix.  The advisor instead extracts a small feature bundle
-first and prunes the space with it, so the feature pass must be an order of
-magnitude cheaper than the evaluation it replaces.  Two tricks get it there:
+Exhaustively evaluating the tuning space plans ~53 distinct blocked
+structures over the full pattern.  The advisor instead extracts a small
+feature bundle first and prunes the space with it, so the feature pass must
+be several times cheaper than the evaluation it replaces.  Three tricks get
+it there:
 
 * **Probing, not enumerating** — block occupancy ("fill") is measured only
   for 1-D row groups (``r x 1``), 1-D column runs (``1 x c``), a few square
@@ -16,6 +16,10 @@ magnitude cheaper than the evaluation it replaces.  Two tricks get it there:
   pattern.  Panels start and end on rows divisible by every probed block
   height, so sampling never cuts a block in half and fills stay unbiased
   for structurally homogeneous matrices.
+* **Counting, not analysing** — a probe needs only its blocking's block
+  counts, so it orders the sample's nonzeros until every block is one
+  contiguous run and counts the runs; one sort serves every row-group
+  probe and one every diagonal size.
 
 The bundle also carries a content *fingerprint* (SHA-256 over the pattern)
 that keys the advisor's recommendation cache.
@@ -29,9 +33,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from ..formats.blockstats import bcsd_block_stats, bcsr_block_stats
 from ..formats.coo import COOMatrix
-from ..matrices.stats import fill_of, full_block_fraction, run_lengths
 
 __all__ = [
     "MatrixFeatures",
@@ -66,8 +68,10 @@ def matrix_fingerprint(coo: COOMatrix) -> str:
     every candidate format stores positions, not values)."""
     h = sha256()
     h.update(f"{coo.nrows}x{coo.ncols}:{coo.nnz}".encode())
-    h.update(coo.rows.tobytes())
-    h.update(coo.cols.tobytes())
+    # Hashed in place: the buffers of C-contiguous arrays are exactly their
+    # ``tobytes()``.
+    h.update(np.ascontiguousarray(coo.rows))
+    h.update(np.ascontiguousarray(coo.cols))
     return h.hexdigest()[:16]
 
 
@@ -256,43 +260,91 @@ def _sample_panels(
     return sample, True
 
 
+def _block_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask marking each block's first nonzero, for nonzeros ordered so
+    that every block is one contiguous run of equal ``keys``."""
+    new = np.zeros(keys[0].shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _sorted_by_row_within(major: np.ndarray, coo: COOMatrix):
+    """``(major, row)`` of every nonzero, sorted by ``major`` then row."""
+    nrows = np.int64(coo.nrows)
+    return np.divmod(np.sort(major * nrows + coo.rows), nrows)
+
+
+def _fill(starts: np.ndarray, elems: int) -> float:
+    """Mean block occupancy (``matrices.stats.fill_of``)."""
+    n_blocks = int(np.count_nonzero(starts))
+    return starts.shape[0] / (n_blocks * elems) if n_blocks else 1.0
+
+
+def _full_frac(starts: np.ndarray, elems: int) -> float:
+    """Nonzero share in full blocks (``matrices.stats.full_block_fraction``)."""
+    nnz = starts.shape[0]
+    if nnz == 0:
+        return 0.0
+    counts = np.diff(np.append(np.flatnonzero(starts), nnz))
+    return int(np.count_nonzero(counts == elems)) * elems / nnz
+
+
 def extract_features(coo: COOMatrix) -> MatrixFeatures:
     """Compute the advisor feature bundle for one pattern."""
     t0 = time.perf_counter()
     counts = coo.row_counts()
-    runs = run_lengths(coo)
     if coo.nnz:
         offsets = np.abs(coo.cols - coo.rows)
         bandwidth = int(offsets.max())
         band = max(16, coo.ncols // 100)
-        bandedness = float((offsets <= band).mean())
+        bandedness = int(np.count_nonzero(offsets <= band)) / coo.nnz
+        # A run of consecutive nonzeros (matrices.stats.run_lengths) starts
+        # at every new row or column gap; the runs add up to nnz.
+        n_runs = 1 + int(np.count_nonzero(
+            (coo.rows[1:] != coo.rows[:-1])
+            | (coo.cols[1:] != coo.cols[:-1] + 1)
+        ))
+        mean_run_length = coo.nnz / n_runs
     else:
         bandwidth = 0
         bandedness = 1.0
+        mean_run_length = 0.0
     row_mean = float(counts.mean()) if counts.size else 0.0
     row_cv = (
         float(counts.std() / row_mean) if counts.size and row_mean > 0 else 0.0
     )
 
+    # Block counts of every probed blocking (the ``counts`` of
+    # formats.blockstats), each blocking's nonzeros ordered so that its
+    # blocks are contiguous runs.  Within one column (or diagonal) rows
+    # ascend, so one (column, row) order serves every r x 1 probe and one
+    # (diagonal, row) order every diagonal size.
     sample, sampled = _sample_panels(coo)
+    col, row = _sorted_by_row_within(sample.cols, sample)
     row_fill = {
-        r: fill_of(bcsr_block_stats(sample, r, 1)) for r in ROW_PROBES
+        r: _fill(_block_starts(col, row // r), r) for r in ROW_PROBES
     }
+    # The canonical row-major order already groups 1 x c blocks.
     col_fill = {
-        c: fill_of(bcsr_block_stats(sample, 1, c)) for c in COL_PROBES
+        c: _fill(_block_starts(sample.rows, sample.cols // c), c)
+        for c in COL_PROBES
     }
+    diag, row = _sorted_by_row_within(sample.cols - sample.rows, sample)
     diag_fill: dict[int, float] = {}
     diag_full_frac: dict[int, float] = {}
     for b in DIAG_PROBES:
-        stats = bcsd_block_stats(sample, b)
-        diag_fill[b] = fill_of(stats)
-        diag_full_frac[b] = full_block_fraction(stats)
+        starts = _block_starts(diag, row // b)
+        diag_fill[b] = _fill(starts, b)
+        diag_full_frac[b] = _full_frac(starts, b)
     rect_fill: dict[tuple[int, int], float] = {}
     rect_full_frac: dict[tuple[int, int], float] = {}
     for r, c in RECT_PROBES:
-        stats = bcsr_block_stats(sample, r, c)
-        rect_fill[(r, c)] = fill_of(stats)
-        rect_full_frac[(r, c)] = full_block_fraction(stats)
+        bcol, row = _sorted_by_row_within(sample.cols // c, sample)
+        starts = _block_starts(bcol, row // r)
+        rect_fill[(r, c)] = _fill(starts, r * c)
+        rect_full_frac[(r, c)] = _full_frac(starts, r * c)
 
     return MatrixFeatures(
         fingerprint=matrix_fingerprint(coo),
@@ -303,7 +355,7 @@ def extract_features(coo: COOMatrix) -> MatrixFeatures:
         row_mean=row_mean,
         row_cv=row_cv,
         empty_row_frac=float((counts == 0).mean()) if counts.size else 0.0,
-        mean_run_length=float(runs.mean()) if runs.size else 0.0,
+        mean_run_length=mean_run_length,
         bandwidth=bandwidth,
         bandedness=bandedness,
         sampled=sampled,

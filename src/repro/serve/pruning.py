@@ -146,15 +146,17 @@ def prune_candidates(
             )
             keep.add((kind, block))
 
-    # Cap the surviving rectangular shapes to the lightest few.
+    # Cap the surviving rectangular shapes to the lightest few.  Exact
+    # score ties break on the shape itself, never on set order (which
+    # follows the string hash seed).
     surviving_shapes = {
         block for kind, block in keep if kind in ("bcsr", "bcsr_dec")
     }
     if len(surviving_shapes) > config.max_rect_shapes:
-        ranked = sorted(surviving_shapes, key=lambda b: rect_scores[b])
+        ranked = sorted(surviving_shapes, key=lambda b: (rect_scores[b], b))
         cut = set(ranked[config.max_rect_shapes:])
-        for kind, block in list(keep):
-            if kind in ("bcsr", "bcsr_dec") and block in cut:
+        for kind, block in structures:
+            if (kind, block) in keep and block in cut:
                 keep.discard((kind, block))
                 dropped[_structure_label(kind, block)] = (
                     f"outside the top {config.max_rect_shapes} shapes by "

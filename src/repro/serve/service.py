@@ -24,6 +24,7 @@
 from __future__ import annotations
 
 import logging
+import numbers
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -35,12 +36,13 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..learn import LearnConfig
 
-from ..core.candidates import FIXED_BLOCK_KINDS, Candidate, candidate_space
+from ..core.candidates import Candidate, candidate_space
+from ..core.models import MODELS
 from ..core.profiling import ProfileCache, ProfileStore
-from ..core.selection import evaluate_candidates
+from ..core.selection import evaluate_candidates, rank_with_model
 from ..durability.report import set_durability_listener
 from ..engine.events import EventBus
-from ..errors import ModelError, ReproError, ServiceUnavailableError
+from ..errors import ReproError, ServiceUnavailableError
 from ..formats.coo import COOMatrix
 from ..machine.machine import MachineModel
 from ..machine.presets import get_preset
@@ -446,6 +448,7 @@ class AdvisorService:
         if plan is not None and plan.on_inject is None:
             plan.on_inject = lambda ev: self.bus.emit("fault_injected", **ev)
         try:
+            _check_options(model, nthreads)
             rec = self._advise_inner(
                 matrix,
                 AdviseOptions(
@@ -751,27 +754,28 @@ class AdvisorService:
         return snap
 
 
-def _rank(results, model_name: str) -> list[RankedCandidate]:
-    """Rank evaluated candidates by the model's own prediction.
+def _check_options(model, nthreads) -> None:
+    """Reject bad request options up front.
 
-    Same pool semantics as :func:`repro.core.selection.select_with_model`:
-    fixed-size blockings only, and the implementation-blind MEM model
-    defaults to the scalar kernels.
+    Raised before the circuit breaker's protected window, so a client's bad
+    option answers 400 instead of counting as a cold-path failure that
+    opens the breaker for every client.  ``nthreads`` above the machine's
+    core count stays valid: the models saturate bandwidth there.
     """
-    from ..core.models import MODELS
+    if not isinstance(model, str) or model not in MODELS:
+        raise ValueError(
+            f"unknown model {model!r}; available: {sorted(MODELS)}"
+        )
+    if (
+        isinstance(nthreads, bool)
+        or not isinstance(nthreads, numbers.Integral)
+        or nthreads < 1
+    ):
+        raise ValueError(f"nthreads must be an integer >= 1, got {nthreads!r}")
 
-    model = MODELS[model_name]
-    pool = [
-        r
-        for r in results
-        if model_name in r.predictions
-        and r.candidate.kind in FIXED_BLOCK_KINDS
-    ]
-    if not model.impl_aware:
-        pool = [r for r in pool if r.candidate.impl is Impl.SCALAR]
-    if not pool:
-        raise ModelError(f"model {model_name!r} covered no candidate")
-    pool.sort(key=lambda r: r.predictions[model_name])
+
+def _rank(results, model_name: str) -> list[RankedCandidate]:
+    """The model's ranking (:func:`~repro.core.selection.rank_with_model`)."""
     return [
         RankedCandidate(
             kind=r.candidate.kind,
@@ -779,5 +783,5 @@ def _rank(results, model_name: str) -> list[RankedCandidate]:
             impl=r.candidate.impl.value,
             predicted_s=r.predictions[model_name],
         )
-        for r in pool
+        for r in rank_with_model(results, model_name)
     ]

@@ -3,9 +3,9 @@
 The contract of :mod:`repro.machine.batch` is bit-identity, not closeness:
 every structure the fused planning pass builds must match the per-call
 converters array-for-array, and every cell :class:`MatrixProgram` evaluates
-must match the per-cell ``SimPlan.run`` / model-predict path float-for-
-float.  All comparisons here are exact (``==`` on dataclasses, dtype-aware
-``array_equal`` on arrays).
+or predicts must match the per-cell reference loop
+(:mod:`repro.bench.reference`) float-for-float.  All comparisons here are
+exact (``==`` on dataclasses, dtype-aware ``array_equal`` on arrays).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import reference
 from repro.bench.harness import (
     MODEL_NAMES,
     MatrixSweep,
@@ -25,10 +26,17 @@ from repro.bench.harness import (
 )
 from repro.core.candidates import Candidate, candidate_space, unique_structures
 from repro.core.profiling import ProfileCache
-from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
+from repro.core.selection import (
+    AutoTuner,
+    build_candidate,
+    evaluate_candidates,
+    select_with_model,
+)
+from repro.errors import ModelError
 from repro.formats.coo import COOMatrix
+from repro.machine import plan as plan_mod
 from repro.machine.batch import MatrixProgram, plan_structures
-from repro.machine.plan import MAX_PLANS_PER_FORMAT, get_plan
+from repro.machine.plan import MAX_PLANS_PER_FORMAT, SimPlan, get_plan
 from repro.types import Impl, Precision
 
 from .conftest import make_random_coo
@@ -80,6 +88,19 @@ def assert_same_format(a, b) -> None:
             assert np.array_equal(va, vb), key
         else:
             assert va == vb, (key, va, vb)
+
+
+def assert_same_cells(got, want) -> None:
+    """Cell-for-cell exact equality of two evaluations."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.candidate == b.candidate
+        assert a.ws_bytes == b.ws_bytes
+        assert a.padding_ratio == b.padding_ratio
+        assert a.n_blocks == b.n_blocks
+        # SimResult is a frozen dataclass: == is exact float equality.
+        assert a.sim == b.sim
+        assert a.predictions == b.predictions
 
 
 @st.composite
@@ -149,7 +170,7 @@ class TestMatrixProgramEquivalence:
         batched = program.evaluate(
             precision, nthreads, candidates, models=models
         )
-        reference = evaluate_candidates(
+        want = reference.evaluate_candidates(
             coo,
             machine,
             precision,
@@ -158,25 +179,112 @@ class TestMatrixProgramEquivalence:
             profile_cache=profile_cache_both,
             nthreads=nthreads,
         )
-        assert len(batched) == len(reference)
-        for got, want in zip(batched, reference):
-            assert got.candidate == want.candidate
-            assert got.ws_bytes == want.ws_bytes
-            assert got.padding_ratio == want.padding_ratio
-            assert got.n_blocks == want.n_blocks
-            # SimResult is a frozen dataclass: == is exact float equality.
-            assert got.sim == want.sim
-            assert got.predictions == want.predictions
+        assert_same_cells(batched, want)
+
+    @pytest.mark.parametrize("nthreads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("precision", ["dp", "sp"])
+    @given(coo=random_coos())
+    @settings(max_examples=8, deadline=None)
+    def test_predictions_match_per_cell_path(
+        self, coo, precision, nthreads, machine, profile_cache_both
+    ):
+        """The simulation-free path: every model's prediction, the working
+        set, padding and block count exactly as the per-cell reference
+        computes them — including nthreads beyond the machine's cores,
+        where the models saturate bandwidth."""
+        got = evaluate_candidates(
+            coo,
+            machine,
+            precision,
+            candidates=CANDIDATES,
+            models=MODEL_NAMES,
+            profile_cache=profile_cache_both,
+            run_simulation=False,
+            nthreads=nthreads,
+        )
+        want = reference.evaluate_candidates(
+            coo,
+            machine,
+            precision,
+            candidates=CANDIDATES,
+            models=MODEL_NAMES,
+            profile_cache=profile_cache_both,
+            run_simulation=False,
+            nthreads=nthreads,
+        )
+        assert all(cell.sim is None for cell in got)
+        assert_same_cells(got, want)
+
+    def test_predict_never_simulates(
+        self, machine, profile_cache_both, monkeypatch
+    ):
+        """predict reads cardinalities only: no segment sums, no x-miss
+        estimate, no lazily-planned index values — even when the working
+        set is far out of cache."""
+        coo = make_random_coo(
+            100_000, 100_000, 400_000, seed=7, with_values=False
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("predict ran the simulator")
+
+        monkeypatch.setattr(SimPlan, "total_misses", boom)
+        monkeypatch.setattr(SimPlan, "segment_sums", boom)
+        monkeypatch.setattr(plan_mod, "estimate_stream_misses", boom)
+        program = MatrixProgram(
+            coo, machine, CANDIDATES, profile_cache=profile_cache_both
+        )
+        cells = program.predict("dp", 8, CANDIDATES, MODEL_NAMES)
+        assert cells[0].ws_bytes > machine.l2.size_bytes
+        assert all(cell.predictions for cell in cells)
+        for fmt in program.fmt_cache.values():
+            for part in fmt.submatrices():
+                assert "_lazy_values" not in part.__dict__
+
+    def test_evaluate_keeps_thread_range_check(self, small_coo, machine):
+        program = MatrixProgram(small_coo, machine, CANDIDATES)
+        with pytest.raises(ModelError):
+            program.evaluate("dp", machine.max_threads + 1, CANDIDATES)
+        assert program.predict(
+            "dp", machine.max_threads + 1, CANDIDATES, ("mem",)
+        )
 
     def test_autotuner_batched_select_agrees(self, small_coo, machine):
         # The "mem" model needs no calibrated profile, so this stays fast.
         tuner = AutoTuner(machine)
-        plain = tuner.select(small_coo, model="mem", candidates=CANDIDATES)
-        batched = tuner.select(
-            small_coo, model="mem", candidates=CANDIDATES, batch=True
+        batched = tuner.select(small_coo, model="mem", candidates=CANDIDATES)
+        plain = select_with_model(
+            reference.evaluate_candidates(
+                small_coo, machine, "dp", candidates=CANDIDATES,
+                models=("mem",), run_simulation=False,
+            ),
+            "mem",
         )
         assert batched.candidate == plain.candidate
         assert batched.predictions == plain.predictions
+
+
+def test_reference_stays_out_of_production():
+    """The per-cell loop is an oracle, not a second path: inside the
+    package only the CLI's ``--compare-batched`` may import it."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        package = ["repro", *path.relative_to(root).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + (node.module or "").split(".")).strip(".")
+            names = {f"{module}.{a.name}" for a in node.names} | {module}
+            if "repro.bench.reference" in names:
+                importers.add(str(path.relative_to(root)))
+    assert importers == {"cli.py"}
 
 
 class TestPlanMemoCap:

@@ -214,6 +214,72 @@ def _patched_init(profile_cache):
     return init
 
 
+def test_cli_start_does_not_load_scipy():
+    """scipy.sparse loads on first evaluation, not with every CLI start:
+    ``repro serve`` readiness and every subcommand pay for the import."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.serve.server; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy'))[:3])"],
+        capture_output=True,
+        text=True,
+        env={**os.environ,
+             "PYTHONPATH": str(REPO_ROOT / "src")
+             + os.pathsep + os.environ.get("PYTHONPATH", "")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestCompareBatched:
+    """``repro sweep --compare-batched``: the batched sweep diffed record by
+    record against the per-cell reference."""
+
+    def test_paths_agree(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--compare-batched",
+             "--matrices", "1", "--cache-dir", str(tmp_path / "cache")],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ,
+                 "PYTHONPATH": str(REPO_ROOT / "src")
+                 + os.pathsep + os.environ.get("PYTHONPATH", "")},
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "compare-batched: OK" in proc.stdout
+
+    def test_divergence_names_the_field(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import math
+
+        from repro.bench import harness
+
+        original = harness.run_sweep
+
+        def perturbed(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record = result.matrices[0].records[3]
+            record.t_real = math.nextafter(record.t_real, math.inf)
+            return result
+
+        monkeypatch.setattr(harness, "run_sweep", perturbed)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([
+            "sweep", "--compare-batched", "--matrices", "1",
+            "--precisions", "dp", "--threads", "1",
+            "--cache-dir", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code != 0
+        assert "compare-batched: DIVERGENCE" in out
+        assert "record 3" in out
+        assert "t_real" in out
+
+
 @pytest.mark.slow
 class TestEngineSmoke:
     """Tier-1 end-to-end smoke: a real ``python -m repro sweep --jobs 2``

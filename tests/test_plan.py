@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.bench import reference
 from repro.bench.harness import SweepConfig, run_sweep, sweep_matrix
 from repro.core.profiling import (
     ProfileCache,
@@ -291,17 +292,17 @@ class TestGoldenFingerprint:
             suite_indices=(1, 27, 30),
         )
         shared = ProfileCache()
-        reference = run_sweep(
-            config=config,
+        want = reference.run_sweep(
+            config,
             machine=machine,
             profile_cache=shared,
-            simulate_fn=simulate_reference,
+            simulate=simulate_reference,
         )
         batched = run_sweep(
             config=config, machine=machine, profile_cache=shared
         )
-        per_cell = run_sweep(
-            config=config, machine=machine, profile_cache=shared, batch=False
+        per_cell = reference.run_sweep(
+            config, machine=machine, profile_cache=shared
         )
-        assert batched.canonical_json() == reference.canonical_json()
-        assert per_cell.canonical_json() == reference.canonical_json()
+        assert batched.canonical_json() == want.canonical_json()
+        assert per_cell.canonical_json() == want.canonical_json()

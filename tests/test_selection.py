@@ -130,14 +130,27 @@ class TestEvaluation:
         with pytest.raises(ModelError):
             oracle_best(results)
 
-    def test_fmt_cache_reused_across_calls(self, fem, machine):
-        cache = {}
+    def test_timings_fill_phase_keys(self, fem, machine):
+        timings = {}
         evaluate_candidates(
+            fem, machine, "dp", run_simulation=False, timings=timings,
+            candidates=candidate_space(impls=(Impl.SCALAR,)),
+        )
+        assert set(timings) == {"stats", "convert", "models"}
+        assert all(v >= 0.0 for v in timings.values())
+
+    def test_fmt_cache_reused_across_calls(self, fem, machine):
+        # The option lives on the per-cell reference only: production
+        # evaluation plans every structure once per call.
+        from repro.bench.reference import evaluate_candidates as per_cell
+
+        cache = {}
+        per_cell(
             fem, machine, "dp", fmt_cache=cache,
             candidates=candidate_space(impls=(Impl.SCALAR,)),
         )
         n_first = len(cache)
-        evaluate_candidates(
+        per_cell(
             fem, machine, "sp", fmt_cache=cache,
             candidates=candidate_space(impls=(Impl.SCALAR,)),
         )

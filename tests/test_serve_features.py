@@ -85,6 +85,37 @@ class TestFills:
         assert f.bandedness == pytest.approx(1.0)
 
 
+class TestProbesMatchBlockStats:
+    """The probes count blocks without the full block analysis; their fills
+    and full-block fractions must equal the analysis's exactly."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_patterns(self, seed):
+        from repro.formats.blockstats import bcsd_block_stats, bcsr_block_stats
+        from repro.matrices.stats import fill_of, full_block_fraction
+        from repro.serve.features import COL_PROBES, RECT_PROBES
+
+        rng = np.random.default_rng(seed)
+        nrows, ncols = (int(x) for x in rng.integers(1, 200, size=2))
+        coo = make_random_coo(
+            nrows, ncols, int(rng.integers(0, min(nrows * ncols, 3000) + 1)),
+            seed=seed, with_values=False,
+        )
+        f = extract_features(coo)
+        for r in ROW_PROBES:
+            assert f.row_fill[r] == fill_of(bcsr_block_stats(coo, r, 1))
+        for c in COL_PROBES:
+            assert f.col_fill[c] == fill_of(bcsr_block_stats(coo, 1, c))
+        for b in DIAG_PROBES:
+            stats = bcsd_block_stats(coo, b)
+            assert f.diag_fill[b] == fill_of(stats)
+            assert f.diag_full_frac[b] == full_block_fraction(stats)
+        for r, c in RECT_PROBES:
+            stats = bcsr_block_stats(coo, r, c)
+            assert f.rect_fill[(r, c)] == fill_of(stats)
+            assert f.rect_full_frac[(r, c)] == full_block_fraction(stats)
+
+
 class TestSampling:
     def _banded(self, n: int) -> COOMatrix:
         rows = np.repeat(np.arange(n), 3)

@@ -188,6 +188,20 @@ class TestAdviseEndpoint:
         assert payload["options"]["model"] == "mem"
         assert payload["best"]["impl"] == "scalar"
 
+    def test_bad_options_400_and_breaker_stays_closed(self, server):
+        for _ in range(10):
+            status, payload = _post(
+                server, {"suite": "dense", "model": "bogus"}
+            )
+            assert status == 400
+            assert "bogus" in payload["error"]
+        status, payload = _post(server, {"suite": "dense", "nthreads": 0})
+        assert status == 400
+        assert "nthreads" in payload["error"]
+        status, payload = _post(server, {"suite": "dense", "top": 1})
+        assert status == 200
+        assert payload["cache_hit"] is False
+
     def test_unknown_suite_400(self, server):
         status, payload = _post(server, {"suite": "no-such-matrix"})
         assert status == 400

@@ -107,6 +107,65 @@ class TestAdvise:
         assert service.stats()["errors"] == 1
 
 
+class TestOptionValidation:
+    @pytest.mark.parametrize("bad", [
+        {"model": "bogus"},
+        {"model": None},
+        {"nthreads": 0},
+        {"nthreads": 1.5},
+        {"nthreads": True},
+    ])
+    def test_bad_options_raise_value_error(self, service, small, bad):
+        with pytest.raises(ValueError):
+            service.advise(small, **bad)
+
+    def test_bad_requests_never_open_the_breaker(self, service, small):
+        """Bad options are the client's fault: they are rejected before
+        the breaker's protected window, so they cannot lock every other
+        client out of the cold path."""
+        for _ in range(10):
+            with pytest.raises(ValueError):
+                service.advise(small, model="bogus")
+        for _ in range(10):
+            with pytest.raises(ValueError):
+                service.advise(small, nthreads=0)
+        rec = service.advise(small)
+        assert not rec.cache_hit
+        breaker = service.stats()["resilience"]["breakers"]["dp"]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
+    def test_nthreads_beyond_cores_accepted(self, service, small, machine):
+        # The models saturate bandwidth past the machine's core count.
+        rec = service.advise(small, nthreads=2 * machine.max_threads)
+        assert rec.ranking
+
+
+class TestAdviseNeverSimulates:
+    def test_cold_out_of_cache_matrix(
+        self, machine, shared_profile_cache, monkeypatch
+    ):
+        """The advisor only predicts: on an out-of-cache suite matrix,
+        neither the pruned nor the exhaustive cold path may reach the
+        x-miss estimator."""
+        from repro.machine import plan
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the advisor ran the simulator")
+
+        monkeypatch.setattr(plan.SimPlan, "total_misses", boom)
+        monkeypatch.setattr(plan, "estimate_stream_misses", boom)
+        service = AdvisorService(
+            machine, cache_dir=None, profile_cache=shared_profile_cache
+        )
+        coo = resolve_matrix("cfd2")
+        # Values alone (8 bytes per nonzero) overflow the cache.
+        assert coo.nnz * 8 > machine.l2.size_bytes
+        for prune in (True, False):
+            rec = service.advise(coo, prune=prune)
+            assert rec.ranking
+
+
 class TestAdviseDenseParity:
     def test_matches_exhaustive_autotuner(
         self, machine, shared_profile_cache, tmp_path
