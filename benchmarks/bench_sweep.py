@@ -25,6 +25,13 @@ Usage::
 
     python benchmarks/bench_sweep.py            # full bench, writes JSON
     python benchmarks/bench_sweep.py --smoke    # one tiny matrix, no JSON
+    python benchmarks/bench_sweep.py --full-suite-log run.jsonl
+
+The last form records the default full sweep instead: run
+``repro sweep --jobs 1 --profile --run-log run.jsonl`` first, then it
+folds that run log's per-matrix phases and peak RSS into the
+``full_suite`` section of the JSON (the other sections are kept, and the
+full bench keeps ``full_suite`` when it rewrites the file).
 
 The full run asserts this PR's acceptance bar (batched >= 3x over the
 simplan path) and the golden canonical sha; ``--smoke`` asserts its own
@@ -170,6 +177,54 @@ def run_bench(indices, *, rounds: int, store_dir: Path) -> dict:
     }
 
 
+def full_suite_from_log(run_log: Path) -> dict:
+    """The ``full_suite`` section: one engine run log's shard records."""
+    events = [
+        json.loads(line)
+        for line in Path(run_log).read_text().splitlines()
+        if line.strip()
+    ]
+    start = next(e for e in events if e["event"] == "sweep_start")
+    per_matrix = {}
+    for e in events:
+        if e["event"] != "shard_finish":
+            continue
+        per_matrix[e["matrix"]] = {
+            "idx": e["shard"],
+            "records": e["records"],
+            "elapsed_s": round(e["elapsed_s"], 2),
+            "phases_s": {
+                k: round(v, 2) for k, v in sorted((e["phases"] or {}).items())
+            },
+            "peak_rss_mib": e["peak_rss_mib"],
+        }
+    finish = next((e for e in events if e["event"] == "sweep_finish"), None)
+    started = [e["matrix"] for e in events if e["event"] == "shard_start"]
+    unfinished = [m for m in started if m not in per_matrix]
+    return {
+        "command": f"repro sweep --jobs {start['jobs']} --profile --run-log",
+        "jobs": start["jobs"],
+        "finished": finish is not None,
+        # A killed sweep (e.g. by the OOM killer) stops inside this shard.
+        "stopped_at": None if finish or not unfinished else unfinished[-1],
+        "wall_s": round(finish["elapsed_s"], 1) if finish else None,
+        "records": sum(m["records"] for m in per_matrix.values()),
+        "peak_rss_mib": max(
+            (m["peak_rss_mib"] for m in per_matrix.values()), default=None
+        ),
+        "per_matrix": per_matrix,
+    }
+
+
+def _write(output: Path, payload: dict) -> None:
+    """Write ``payload`` over ``output``, keeping its ``full_suite``."""
+    if output.exists() and "full_suite" not in payload:
+        previous = json.loads(output.read_text())
+        if "full_suite" in previous:
+            payload = {**payload, "full_suite": previous["full_suite"]}
+    output.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -185,7 +240,25 @@ def main(argv=None) -> int:
         "--output", default=str(REPO_ROOT / "BENCH_sweep.json"),
         help="where to write the results JSON (full mode only)",
     )
+    parser.add_argument(
+        "--full-suite-log", metavar="RUN_LOG",
+        help="record this full-sweep run log as the JSON's full_suite "
+        "section instead of benchmarking",
+    )
     args = parser.parse_args(argv)
+
+    if args.full_suite_log:
+        output = Path(args.output)
+        payload = json.loads(output.read_text()) if output.exists() else {}
+        payload["full_suite"] = full_suite_from_log(Path(args.full_suite_log))
+        _write(output, payload)
+        suite = payload["full_suite"]
+        print(
+            f"full suite: {len(suite['per_matrix'])} matrices, "
+            f"finished={suite['finished']}, wall {suite['wall_s']}s, "
+            f"peak RSS {suite['peak_rss_mib']} MiB -> wrote {output}"
+        )
+        return 0
 
     import tempfile
 
@@ -216,7 +289,7 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+    _write(Path(args.output), payload)
     print(f"wrote {args.output}")
     if payload["speedup"] < SPEEDUP_BAR:
         print(

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
-from ..machine.cache import estimate_stream_misses, x_budget_lines
+from ..machine.cache import x_budget_lines
 from ..machine.machine import MachineModel
+from ..machine.plan import _part_misses
 from ..types import Impl, Precision
 from .models import MODELS, OverlapModel, PerformanceModel
 from .profiling import BlockProfile
@@ -42,9 +43,9 @@ def estimate_format_misses(
 ) -> int:
     """Structural estimate of non-streaming input-vector misses.
 
-    Uses the machine's public cache geometry only; memoised on the format
-    object (shared with the simulator's identical analysis, so a sweep
-    computes it once).
+    Uses the machine's public cache geometry only.  Each part goes through
+    the simulator's own per-part path (:func:`repro.machine.plan._part_misses`,
+    memoised on the part), so a sweep computes it once.
     """
     precision = Precision.coerce(precision)
     if fmt.working_set(precision) <= machine.l2.size_bytes:
@@ -53,16 +54,9 @@ def estimate_format_misses(
     budget = x_budget_lines(
         machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
     )
-    total = 0
-    for part in fmt.submatrices():
-        cache = part.__dict__.setdefault("_x_miss_cache", {})
-        misses = cache.get((line_elems, budget))
-        if misses is None:
-            lines = part.x_access_stream().line_ids(line_elems)
-            misses = estimate_stream_misses(lines, budget)
-            cache[(line_elems, budget)] = misses
-        total += misses
-    return total
+    return sum(
+        _part_misses(part, line_elems, budget) for part in fmt.submatrices()
+    )
 
 
 class OverlapLatencyModel(PerformanceModel):

@@ -21,10 +21,13 @@ Kinds and their fields:
 ``shard_cached``          ``shard, matrix`` (served from a completed shard)
 ``shard_start``           ``shard, matrix, attempt`` (submitted to a worker)
 ``shard_finish``          ``shard, matrix, attempt, elapsed_s, records,``
-                          ``phases`` (phase → seconds breakdown of the
-                          worker's busy time: ``convert`` / ``stats`` /
-                          ``simulate`` / ``models``; ``None`` when the task
-                          function does not report one)
+                          ``peak_rss_mib, phases`` (``peak_rss_mib`` is the
+                          worker process's peak RSS so far, from
+                          ``getrusage``; ``phases`` is the phase → seconds
+                          breakdown of the worker's busy time:
+                          ``convert`` / ``stats`` / ``simulate`` /
+                          ``models``; ``None`` when the task function does
+                          not report one)
 ``shard_retry``           ``shard, matrix, attempt, backoff_s, error,``
                           ``error_type`` (``error`` is the exception
                           message, ``error_type`` its class name)
@@ -88,9 +91,10 @@ EVENT_SCHEMAS: dict[str, frozenset[str]] = {
     ),
     "shard_cached": frozenset({"shard", "matrix"}),
     "shard_start": frozenset({"shard", "matrix", "attempt"}),
-    "shard_finish": frozenset(
-        {"shard", "matrix", "attempt", "elapsed_s", "records", "phases"}
-    ),
+    "shard_finish": frozenset({
+        "shard", "matrix", "attempt", "elapsed_s", "records", "peak_rss_mib",
+        "phases",
+    }),
     "shard_retry": frozenset(
         {"shard", "matrix", "attempt", "backoff_s", "error", "error_type"}
     ),
@@ -248,10 +252,11 @@ class ProgressReporter:
 class PhaseReporter:
     """Per-shard and aggregate phase-timing breakdown (``--profile``).
 
-    Consumes the ``phases`` field of ``shard_finish`` events and prints one
-    line per shard plus, at ``sweep_finish``, totals showing where the
-    sweep's time went (convert / stats / simulate / models, and the
-    residual that none of the instrumented phases account for).
+    Consumes the ``phases`` and ``peak_rss_mib`` fields of ``shard_finish``
+    events and prints one line per shard plus, at ``sweep_finish``, totals
+    showing where the sweep's time went (convert / stats / simulate /
+    models, and the residual that none of the instrumented phases account
+    for) and the largest worker peak RSS.
     """
 
     #: Reporting order; matches ``repro.bench.harness.PHASE_NAMES``.
@@ -262,6 +267,7 @@ class PhaseReporter:
         self.totals: dict[str, float] = {}
         self._busy_s = 0.0
         self._shards = 0
+        self._peak_rss_mib = 0.0
 
     def _print(self, line: str) -> None:
         print(line, file=self._stream, flush=True)
@@ -277,16 +283,19 @@ class PhaseReporter:
             phases = event["phases"]
             self._shards += 1
             self._busy_s += event["elapsed_s"]
+            self._peak_rss_mib = max(self._peak_rss_mib, event["peak_rss_mib"])
             for name, seconds in phases.items():
                 self.totals[name] = self.totals.get(name, 0.0) + seconds
             self._print(
                 f"[phases] {event['shard']:3d} {event['matrix']:15s} "
-                f"{self._format(phases)}"
+                f"{self._format(phases)} "
+                f"peak_rss={event['peak_rss_mib']:.0f}MiB"
             )
         elif kind == "sweep_finish" and self._shards:
             accounted = sum(self.totals.values())
             other = max(self._busy_s - accounted, 0.0)
             self._print(
                 f"[phases] total over {self._shards} shard(s): "
-                f"{self._format(self.totals)} other={other:6.2f}s"
+                f"{self._format(self.totals)} other={other:6.2f}s "
+                f"peak_rss={self._peak_rss_mib:.0f}MiB"
             )

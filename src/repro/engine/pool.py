@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+import resource
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from pathlib import Path
@@ -50,12 +51,20 @@ __all__ = ["SweepEngine", "run_sweep_engine"]
 TaskFn = Callable[[ShardTask], MatrixSweep]
 
 
-def _timed_task(task_fn: TaskFn, task: ShardTask) -> tuple[MatrixSweep, float]:
-    """Run one shard and measure its busy time (executes in the worker)."""
+def _timed_task(
+    task_fn: TaskFn, task: ShardTask
+) -> tuple[MatrixSweep, float, float]:
+    """Run one shard (executes in the worker).
+
+    Returns the result, the busy time and the worker process's peak RSS in
+    MiB so far (``ru_maxrss`` is in KiB on Linux).
+    """
     t0 = time.perf_counter()
     fault_point("engine.pool.task")
     matrix = task_fn(task)
-    return matrix, time.perf_counter() - t0
+    busy = time.perf_counter() - t0
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return matrix, busy, peak_rss_mib
 
 
 class SweepEngine:
@@ -242,6 +251,7 @@ class SweepEngine:
         task: ShardTask,
         matrix: MatrixSweep,
         busy: float,
+        peak_rss_mib: float,
         attempt: int,
         completed: dict[int, MatrixSweep],
     ) -> None:
@@ -260,6 +270,7 @@ class SweepEngine:
             attempt=attempt,
             elapsed_s=busy,
             records=len(matrix.records),
+            peak_rss_mib=round(peak_rss_mib, 1),
             phases={k: round(v, 6) for k, v in phases.items()}
             if phases
             else None,
@@ -328,14 +339,16 @@ class SweepEngine:
                     attempt=attempt,
                 )
                 try:
-                    matrix, busy = _timed_task(self.task_fn, task)
+                    matrix, busy, rss = _timed_task(self.task_fn, task)
                 except Exception as exc:  # noqa: BLE001 - shard faults are data
                     if self._record_failure(task, exc, attempt, failed):
                         attempt += 1
                         continue
                     break
                 busy_s += busy
-                self._record_success(task, matrix, busy, attempt, completed)
+                self._record_success(
+                    task, matrix, busy, rss, attempt, completed
+                )
                 break
         return busy_s
 
@@ -366,7 +379,7 @@ class SweepEngine:
                     task = futures.pop(future)
                     attempt = attempts[task.shard_id]
                     try:
-                        matrix, busy = future.result()
+                        matrix, busy, rss = future.result()
                     except Exception as exc:  # noqa: BLE001
                         if self._record_failure(task, exc, attempt, failed):
                             attempts[task.shard_id] = attempt + 1
@@ -374,7 +387,7 @@ class SweepEngine:
                         continue
                     busy_s += busy
                     self._record_success(
-                        task, matrix, busy, attempt, completed
+                        task, matrix, busy, rss, attempt, completed
                     )
         return busy_s
 

@@ -10,6 +10,7 @@ in-process or in a forked/spawned worker.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from ..bench.harness import MatrixSweep, SweepConfig, sweep_matrix
@@ -81,9 +82,15 @@ def run_shard_task(task: ShardTask) -> MatrixSweep:
     machine = _machine_for(task.config.machine_name)
     for profile in task.profiles:
         _PROFILE_CACHE.seed(machine, profile)
-    return sweep_matrix(
+    matrix = sweep_matrix(
         entry,
         task.config,
         machine=machine,
         profile_cache=_PROFILE_CACHE,
     )
+    # The shard's formats, lazy structures and plan memos reference each
+    # other in cycles, which only the cyclic collector frees.  Numpy-heavy
+    # code allocates too few Python objects to trigger it, so without this
+    # every later shard's peak memory stacks on the garbage of earlier ones.
+    gc.collect()
+    return matrix

@@ -94,7 +94,9 @@ class XAccessStream:
         """
         if line_elems < 1:
             raise ValueError("line_elems must be >= 1")
-        return np.maximum(self.element_columns(), 0) // line_elems
+        lines = np.maximum(self.element_columns(), 0)
+        lines //= line_elems
+        return lines
 
 
 class SparseFormat(abc.ABC):

@@ -12,15 +12,15 @@ Three models live here:
   that are bandwidth-bound and the latency-bound ones (#12, #14, #15, #28).
   The stream is treated as cyclic (steady state over 100 iterations, as the
   paper measures): the "previous window" of the first window is the last
-  window of the stream.  The implementation is a single vectorized
-  sort-based sweep over ``(window, line)`` incidence pairs — no Python loop
-  over windows.
+  window of the stream.  The implementation neither sorts nor hashes: line
+  ids index boolean bitmaps over the line range, one scatter per window,
+  so the cost is linear in the stream plus one bitmap pass per window.
 
 * :func:`estimate_stream_misses_windowed` — the original per-window Python
   loop (``np.unique`` per window, ``np.isin`` per window pair), kept as the
-  executable specification.  The test suite asserts the vectorized
-  estimator agrees with it exactly on randomized streams, and the sweep
-  benchmark uses it as the pre-optimization baseline.
+  executable specification.  The test suite asserts the bitmap estimator
+  agrees with it exactly on randomized streams, and the sweep benchmark
+  uses it as the pre-optimization baseline.
 
 * :class:`LRUCache` — an exact, tiny, deliberately slow fully-associative
   LRU simulator used by the test suite to sanity-check the estimators'
@@ -77,37 +77,39 @@ def estimate_stream_misses(
     n = line_ids.shape[0]
     if n == 0 or budget_lines <= 0:
         return 0
-    unique_lines = np.unique(line_ids)
-    distinct_total = unique_lines.shape[0]
+    low = int(line_ids.min())
+    if low < 0:
+        line_ids = line_ids - low
+    n_lines = int(line_ids.max()) + 1
+    # ``prev``/``cur`` are bitmaps over the line range: the lines touched by
+    # the previous and the current window.  ``prev`` first serves as the
+    # whole stream's footprint.
+    prev = np.zeros(n_lines, dtype=bool)
+    prev[line_ids] = True
+    distinct_total = int(np.count_nonzero(prev))
     if distinct_total <= budget_lines:
         # The whole x footprint is cache-resident in steady state.
         return 0
     window = max(int(budget_lines), 1)
     n_windows = -(-n // window)
-    # Dense-rank the line ids so a (window, line) pair packs into one int64
-    # key without overflow: window < n_windows <= n and rank < distinct <= n.
-    ranks = np.searchsorted(unique_lines, line_ids)
-    k = np.int64(distinct_total)
-    keys = (np.arange(n, dtype=np.int64) // window) * k + ranks
-    pairs = np.unique(keys)  # sorted distinct (window, line) incidences
-    pair_window = pairs // k
-    pair_rank = pairs - pair_window * k
-    # A pair misses iff its line was absent from the previous window, i.e.
-    # (window - 1, line) is not itself a pair.  The cyclic steady state
-    # wraps window 0's predecessor around to the last window.
-    prev_keys = (pair_window - 1) * k + pair_rank
-    first = pair_window == 0
+    prev[:] = False
     if cyclic:
-        prev_keys[first] = np.int64(n_windows - 1) * k + pair_rank[first]
-    pos = np.searchsorted(pairs, prev_keys)
-    present = pairs[np.minimum(pos, pairs.shape[0] - 1)] == prev_keys
-    if cyclic:
-        misses = int(np.count_nonzero(~present))
-    else:
-        # The first window is charged its compulsory misses wholesale.
-        misses = int(np.count_nonzero(first)) + int(
-            np.count_nonzero(~present[~first])
-        )
+        # The cyclic steady state wraps window 0's predecessor around to
+        # the last window.
+        prev[line_ids[(n_windows - 1) * window :]] = True
+    cur = np.empty_like(prev)
+    misses = 0
+    for start in range(0, n, window):
+        cur[:] = False
+        cur[line_ids[start : start + window]] = True
+        if start == 0 and not cyclic:
+            # The first window is charged its compulsory misses wholesale.
+            misses += int(np.count_nonzero(cur))
+        else:
+            # Lines touched now but absent from the previous window (for
+            # bitmaps, ``cur > prev`` is ``cur & ~prev``).
+            misses += int(np.count_nonzero(cur > prev))
+        prev, cur = cur, prev
     if discount_compulsory:
         misses = max(misses - distinct_total, 0)
     return misses
@@ -123,7 +125,7 @@ def estimate_stream_misses_windowed(
     """Reference implementation of :func:`estimate_stream_misses`.
 
     The original per-window Python loop, kept verbatim as the executable
-    specification: ``tests/test_cache.py`` asserts the vectorized sweep
+    specification: ``tests/test_cache.py`` asserts the bitmap estimator
     returns exactly the same count on randomized streams, and
     ``benchmarks/bench_sweep.py`` measures against it as the pre-SimPlan
     baseline.  Do not optimize this function.

@@ -29,8 +29,9 @@ before touching the element stream:
 1. if even the largest reachable cache line fits inside the budget, the
    distinct-line count trivially does too (``estimate_stream_misses``
    returns 0 whenever ``distinct <= budget``), and
-2. otherwise the exact distinct-line count — computed from the (cached)
-   unique columns, far smaller than the element stream — decides residency.
+2. otherwise the exact distinct-line count — an OR-reduction per cache
+   line of the (cached) boolean mask of touched columns, far smaller than
+   the element stream — decides residency.
 
 Only genuinely latency-bound parts ever expand their element stream.
 ``repro.machine.executor.simulate`` is a thin wrapper over this module;
@@ -94,28 +95,42 @@ def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
     return max(max_col, 0) // line_elems
 
 
-def _unique_columns(part: SparseFormat) -> np.ndarray:
-    """Sorted unique x columns the part touches (cached on the part).
+def _x_col_mask(part: SparseFormat) -> np.ndarray:
+    """Boolean mask of the x columns the part touches (cached on the part).
 
-    Derived from the unique *starts* where the access width is fixed, so
-    wide-block formats never expand their full element stream here.
+    Negative columns (BCSD edge diagonals begin off-matrix) clip to column
+    0, as :meth:`XAccessStream.line_ids` does.  Fixed-width streams dilate
+    the mask of their access starts by the width, so wide-block formats
+    never expand their element stream here; variable-width (VBL) streams
+    scatter their element columns.
     """
-    cols = part.__dict__.get("_x_unique_cols")
-    if cols is None:
+    mask = part.__dict__.get("_x_col_mask")
+    if mask is None:
         stream = part.x_access_stream()
         if stream.widths is not None:
-            cols = np.unique(stream.element_columns())
-        elif stream.width == 1:
-            cols = np.unique(stream.starts)
+            cols = np.maximum(stream.element_columns(), 0)
+            mask = np.zeros(int(cols.max()) + 1, dtype=bool)
+            mask[cols] = True
         else:
-            starts = np.unique(stream.starts)
-            cols = np.unique(
-                (
-                    starts[:, None] + np.arange(stream.width, dtype=np.int64)
-                ).ravel()
-            )
-        part.__dict__["_x_unique_cols"] = cols
-    return cols
+            low = min(int(stream.starts.min()), 0)
+            starts = np.zeros(int(stream.starts.max()) + 1 - low, dtype=bool)
+            starts[stream.starts - low] = True
+            # Column c is touched iff some start lies in (c - width, c].
+            dilated = np.zeros(starts.shape[0] + stream.width - 1, dtype=bool)
+            for offset in range(stream.width):
+                dilated[offset : offset + starts.shape[0]] |= starts
+            mask = dilated[-low:]
+            if low < 0 and dilated[:-low].any():
+                mask[0] = True
+        part.__dict__["_x_col_mask"] = mask
+    return mask
+
+
+def _distinct_lines(part: SparseFormat, line_elems: int) -> int:
+    """Exact number of distinct x cache lines the part's stream touches."""
+    mask = _x_col_mask(part)
+    line_starts = np.arange(0, mask.shape[0], line_elems)
+    return int(np.count_nonzero(np.logical_or.reduceat(mask, line_starts)))
 
 
 def _estimate_part_misses(
@@ -131,9 +146,7 @@ def _estimate_part_misses(
     # exactly that without materialising the element-granularity stream.
     if _stream_max_line(stream, line_elems) + 1 <= budget:
         return 0
-    cols = _unique_columns(part)
-    distinct = np.unique(np.maximum(cols, 0) // line_elems).shape[0]
-    if distinct <= budget:
+    if _distinct_lines(part, line_elems) <= budget:
         return 0
     return int(estimate_stream_misses(stream.line_ids(line_elems), budget))
 

@@ -114,12 +114,23 @@ def _stream_and_budget(draw):
     return lines.astype(np.int64), budget
 
 
+def _assert_matches_windowed(lines, budget):
+    for cyclic in (True, False):
+        for discount in (True, False):
+            assert estimate_stream_misses(
+                lines, budget, cyclic=cyclic, discount_compulsory=discount
+            ) == estimate_stream_misses_windowed(
+                lines, budget, cyclic=cyclic, discount_compulsory=discount
+            ), (budget, cyclic, discount)
+
+
 class TestVectorizedEquivalence:
-    """The vectorized estimator IS the windowed loop, just faster.
+    """The bitmap estimator IS the windowed loop, just faster.
 
     The loop version is kept verbatim as the executable specification;
-    these tests pin the vectorized rewrite to it exactly — any disagreement
-    on any stream is a bug, not a tolerance question.
+    these tests pin the sort-free bitmap estimator (per-window boolean
+    line maps, no ``np.unique``/``searchsorted``) to it exactly — any
+    disagreement on any stream is a bug, not a tolerance question.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -163,6 +174,58 @@ class TestVectorizedEquivalence:
                 ) == estimate_stream_misses_windowed(
                     lines, 2, cyclic=cyclic, discount_compulsory=discount
                 )
+
+    def test_ids_offset_from_zero(self):
+        # A stream living far from line 0 (its bitmaps still span
+        # [0, max]) counts the same as its zero-based copy.
+        rng = np.random.default_rng(21)
+        lines = rng.integers(0, 90, 700)
+        for budget in (1, 8, 32):
+            _assert_matches_windowed(lines + 1_000_000, budget)
+            assert estimate_stream_misses(
+                lines + 1_000_000, budget
+            ) == estimate_stream_misses(lines, budget)
+
+    def test_negative_ids(self):
+        rng = np.random.default_rng(22)
+        lines = rng.integers(-60, 40, 900)
+        for budget in (1, 5, 16, 64):
+            _assert_matches_windowed(lines, budget)
+
+    def test_sparse_id_range_wider_than_window(self):
+        # n_lines (~200k) is far larger than the window: each window's
+        # bitmap is almost empty.
+        rng = np.random.default_rng(23)
+        lines = rng.choice(200_000, 300, replace=False)[rng.integers(0, 300, 3000)]
+        for budget in (4, 16, 100):
+            _assert_matches_windowed(lines, budget)
+
+    def test_budget_of_one_line(self):
+        # Every access is its own window.
+        rng = np.random.default_rng(24)
+        for lines in (
+            rng.integers(0, 12, 400),
+            np.repeat(rng.integers(0, 50, 100), 3),
+            np.arange(100) % 7,
+        ):
+            _assert_matches_windowed(lines, 1)
+
+    def test_large_zipf_stream(self):
+        # A power-law (Zipf s=0.96) stream over 50k lines with its hot
+        # lines scattered across the range: the latency-bound regime.
+        rng = np.random.default_rng(25)
+        n_lines = 50_000
+        weights = 1.0 / np.arange(1, n_lines + 1) ** 0.96
+        ranks = rng.choice(n_lines, 1_200_000, p=weights / weights.sum())
+        lines = rng.permutation(n_lines)[ranks]
+        misses = estimate_stream_misses(lines, 4096)
+        assert misses > 0
+        assert misses == estimate_stream_misses_windowed(lines, 4096)
+        assert estimate_stream_misses(
+            lines, 4096, cyclic=False, discount_compulsory=False
+        ) == estimate_stream_misses_windowed(
+            lines, 4096, cyclic=False, discount_compulsory=False
+        )
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_stream_and_budget())

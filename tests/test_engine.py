@@ -297,6 +297,34 @@ class TestPoolPath:
         assert len(col.of("shard_finish")) == 3
 
 
+class TestShardMemory:
+    def test_shard_task_frees_its_reference_cycles(self):
+        """Formats, lazy structures and plan memos form reference cycles;
+        the task collects them before returning, so a worker's next shard
+        does not stack its peak memory on this one's garbage."""
+        import gc
+
+        from repro.engine.tasks import run_shard_task
+
+        config = SweepConfig(
+            precisions=("dp",), thread_counts=(1,), max_block_elems=4,
+            suite_indices=(1,),
+        )
+        (task,) = plan_shards(config)
+        gc.collect()
+        gc.disable()
+        try:
+            run_shard_task(task)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked & {"SimPlan", "CSRMatrix", "BCSRMatrix", "_LazyBCSR"}
+
+
 @pytest.mark.slow
 class TestKillResume:
     """Acceptance: kill a sweep after ≥1 shard completes, re-run with

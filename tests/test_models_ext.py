@@ -50,6 +50,32 @@ class TestMissEstimate:
         csr = build_format(latency_matrix, "csr", with_values=False)
         assert estimate_format_misses(csr, machine, "dp") > 0
 
+    @pytest.mark.parametrize(
+        "kind,block", [("csr", None), ("bcsr_dec", (2, 2)), ("bcsd", 2)]
+    )
+    @pytest.mark.parametrize("precision", ["sp", "dp"])
+    def test_equals_per_part_stream_estimate(
+        self, latency_matrix, machine, kind, block, precision
+    ):
+        """The simulator's per-part path (structural shortcuts included)
+        gives exactly the raw estimator's count on every part."""
+        from repro.machine.cache import estimate_stream_misses, x_budget_lines
+        from repro.types import Precision
+
+        fmt = build_format(latency_matrix, kind, block, with_values=False)
+        line_elems = machine.l2.line_bytes // Precision.coerce(precision).itemsize
+        budget = x_budget_lines(
+            machine.l2.size_bytes, machine.l2.line_bytes,
+            machine.x_cache_fraction,
+        )
+        want = sum(
+            estimate_stream_misses(
+                part.x_access_stream().line_ids(line_elems), budget
+            )
+            for part in fmt.submatrices()
+        )
+        assert estimate_format_misses(fmt, machine, precision) == want
+
 
 class TestOverlapLatModel:
     def test_fixes_latency_bound_prediction(

@@ -121,6 +121,73 @@ class TestPlanReuse:
         assert plan.run_cells(cells) == [plan.run(i, t) for i, t in cells]
 
 
+def _col_mask_matrix():
+    """Random pattern whose first column reaches rows 1..7, so BCSD
+    diagonals of every size up to 8 begin off-matrix (negative starts)."""
+    import numpy as np
+
+    base = make_random_coo(120, 3000, 2500, seed=12, with_values=False)
+    rows = np.concatenate([base.rows, np.arange(1, 8)])
+    cols = np.concatenate([base.cols, np.zeros(7, dtype=np.int64)])
+    return COOMatrix(120, 3000, rows, cols, None)
+
+
+class TestColumnMask:
+    """``_x_col_mask``'s per-line OR-reduction is the exact distinct-line
+    count of the element stream, clipped as ``line_ids`` clips it."""
+
+    @pytest.mark.parametrize(
+        "kind,block",
+        [
+            ("csr", None),
+            ("bcsr", (3, 2)),
+            ("bcsr", (2, 4)),
+            ("bcsr_dec", (2, 3)),
+            ("bcsd", 4),
+            ("bcsd", 8),
+            ("bcsd_dec", 3),
+            ("vbl", None),
+        ],
+    )
+    def test_distinct_lines_match_unique(self, kind, block):
+        import numpy as np
+
+        from repro.machine.plan import _distinct_lines, _x_col_mask
+
+        fmt = _build(_col_mask_matrix(), kind, block)
+        for part in fmt.submatrices():
+            stream = part.x_access_stream()
+            cols = stream.element_columns()
+            if kind == "bcsd":
+                assert cols.min() < 0  # off-matrix edge starts exercised
+            if kind == "vbl":
+                assert stream.widths is not None
+            assert np.array_equal(
+                np.flatnonzero(_x_col_mask(part)), np.unique(np.maximum(cols, 0))
+            )
+            for line_elems in (8, 16):
+                assert _distinct_lines(part, line_elems) == np.unique(
+                    np.maximum(cols, 0) // line_elems
+                ).size, (kind, block, line_elems)
+
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_wholly_negative_accesses_clip_to_column_zero(self, width):
+        import numpy as np
+
+        from repro.formats.base import XAccessStream
+        from repro.machine.plan import _x_col_mask
+
+        class Part:
+            def x_access_stream(self):
+                return XAccessStream(np.array([-9, 5, -4, 5]), width)
+
+        cols = Part().x_access_stream().element_columns()
+        assert np.array_equal(
+            np.flatnonzero(_x_col_mask(Part())), np.unique(np.maximum(cols, 0))
+        )
+
+
 class TestProfilePersistence:
     def test_payload_round_trip_is_float_exact(self, machine, profile_dp):
         # Through an actual JSON string, as the store does.
@@ -275,6 +342,29 @@ class TestPhaseTimings:
         ).run()
         (finish,) = rep.of("shard_finish")
         assert finish["phases"]["simulate"] >= 0.0
+        # The inline worker is this process: its peak RSS is at least the
+        # interpreter plus numpy.
+        assert finish["peak_rss_mib"] > 10.0
+
+    def test_phase_reporter_prints_peak_rss(self):
+        import io
+
+        from repro.engine.events import PhaseReporter
+
+        out = io.StringIO()
+        rep = PhaseReporter(out)
+        phases = {"convert": 0.1, "stats": 0.2, "simulate": 0.3, "models": 0.0}
+        for shard, rss in ((1, 300.0), (27, 512.4)):
+            rep.handle({
+                "event": "shard_finish", "shard": shard, "matrix": "m",
+                "elapsed_s": 1.0, "peak_rss_mib": rss, "phases": phases,
+            })
+        rep.handle({"event": "sweep_finish"})
+        lines = out.getvalue().splitlines()
+        assert lines[0].endswith("peak_rss=300MiB")
+        assert lines[1].endswith("peak_rss=512MiB")
+        assert lines[2].startswith("[phases] total over 2 shard(s)")
+        assert lines[2].endswith("peak_rss=512MiB")
 
 
 @pytest.mark.slow
